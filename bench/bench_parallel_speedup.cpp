@@ -1,9 +1,10 @@
 // P2 — throughput of the data-parallel training engine.
 //
 // Measures training samples/sec for
-//   * the legacy serial path (composed GRU, no plan cache),
-//   * the optimized serial path (fused GRU + plan cache),
-//   * the parallel engine at 2/4/8 lanes (fused + cache),
+//   * the serial path with the composed GRU,
+//   * the serial path with the fused GRU,
+//   * the parallel engine at 2/4/8 lanes (fused GRU),
+// all with the training run's plan cache,
 // plus batched-inference paths/sec at 1 and 8 lanes, and emits
 // BENCH_parallel_speedup.json so CI tracks the trajectory across PRs.
 //
@@ -50,7 +51,7 @@ BenchSetup make_setup() {
 }
 
 double train_samples_per_sec(const BenchSetup& setup, std::size_t threads,
-                             bool fused, bool plan_cache) {
+                             bool fused) {
   core::ModelConfig mc;
   mc.state_dim = 12;
   mc.readout_hidden = 24;
@@ -62,7 +63,6 @@ double train_samples_per_sec(const BenchSetup& setup, std::size_t threads,
   tc.batch_samples = 4;
   tc.min_delivered = 1;
   tc.threads = threads;
-  tc.use_plan_cache = plan_cache;
   tc.verbose = false;
   core::Trainer trainer(model, tc);
   util::Stopwatch watch;
@@ -98,25 +98,22 @@ int main() {
                     ", epochs=" + std::to_string(setup.epochs) +
                     ", state_dim=12, iterations=3, batch=4");
 
-  const double baseline =
-      train_samples_per_sec(setup, 1, /*fused=*/false, /*plan_cache=*/false);
-  const double serial_opt =
-      train_samples_per_sec(setup, 1, /*fused=*/true, /*plan_cache=*/true);
+  const double baseline = train_samples_per_sec(setup, 1, /*fused=*/false);
+  const double serial_opt = train_samples_per_sec(setup, 1, /*fused=*/true);
 
-  util::Table table({"config", "samples/sec", "speedup vs legacy"});
-  table.add_row({"legacy serial (composed GRU, no cache)",
-                 util::Table::cell(baseline, 2), "1.00"});
+  util::Table table({"config", "samples/sec", "speedup vs composed"});
+  table.add_row({"composed GRU", util::Table::cell(baseline, 2), "1.00"});
   table.add_row({"serial + fused GRU + plan cache",
                  util::Table::cell(serial_opt, 2),
                  util::Table::cell(serial_opt / baseline, 2)});
   result.add("hardware_threads",
              static_cast<double>(util::ThreadPool::hardware_threads()));
-  result.add("train_samples_per_sec_legacy_serial", baseline);
+  result.add("train_samples_per_sec_composed_gru", baseline);
   result.add("train_samples_per_sec_serial_fused_cache", serial_opt);
   result.add("speedup_serial_fused_cache", serial_opt / baseline);
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
-    const double sps = train_samples_per_sec(setup, threads, true, true);
+    const double sps = train_samples_per_sec(setup, threads, true);
     table.add_row({"parallel x" + std::to_string(threads) + " (fused+cache)",
                    util::Table::cell(sps, 2),
                    util::Table::cell(sps / baseline, 2)});

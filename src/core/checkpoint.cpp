@@ -70,13 +70,10 @@ std::string checkpoint_file(const std::string& dir) {
 
 void save_checkpoint(const std::string& path, const TrainCheckpoint& c) {
   std::ostringstream b(std::ios::binary);
-  put(b, static_cast<std::uint8_t>(c.streaming ? 1 : 0));
   put(b, c.config_digest);
   put(b, c.epoch);
-  put(b, c.batch_in_epoch);
   put(b, c.samples_done);
   put(b, c.lr);
-  for (const std::uint64_t s : c.shuffle_state) put(b, s);
   put(b, c.loss_sum);
   put(b, c.loss_count);
   put(b, c.best_val);
@@ -131,18 +128,10 @@ TrainCheckpoint load_checkpoint(const std::string& path) {
 
   std::istringstream bs(body, std::ios::binary);
   TrainCheckpoint c;
-  std::uint8_t streaming = 0;
-  get(bs, streaming, what);
-  if (streaming > 1)
-    throw CheckpointError(what + ": invalid mode byte " +
-                          std::to_string(streaming));
-  c.streaming = streaming != 0;
   get(bs, c.config_digest, what);
   get(bs, c.epoch, what);
-  get(bs, c.batch_in_epoch, what);
   get(bs, c.samples_done, what);
   get(bs, c.lr, what);
-  for (std::uint64_t& s : c.shuffle_state) get(bs, s, what);
   get(bs, c.loss_sum, what);
   get(bs, c.loss_count, what);
   get(bs, c.best_val, what);

@@ -2,11 +2,13 @@
 //
 // One file captures EVERYTHING the training loop's trajectory depends
 // on: model parameters, Adam moments + step count, the fitted Scaler
-// moments, the shuffle RNG state as of the current epoch's start, the
-// epoch/batch/stream cursors, the in-epoch loss accumulators and the
-// early-stopping state.  Restoring it and re-running therefore produces
-// weights BITWISE-IDENTICAL to the uninterrupted run — pinned by the
-// kill-at-every-batch-boundary sweep in tests/checkpoint_test.cpp.
+// moments, the {epoch, samples_done} cursor, the in-epoch loss
+// accumulators and the early-stopping state.  A pass's sample order is
+// a pure function of the source and the epoch index
+// (data::SampleSource::reset), so the cursor alone places the resumed
+// run in the sample stream.  Restoring it and re-running therefore
+// produces weights BITWISE-IDENTICAL to the uninterrupted run — pinned
+// by the kill-at-every-batch-boundary sweep in tests/checkpoint_test.cpp.
 //
 // Framing matches every other rnx on-disk format: magic "RNXC", u32
 // version, u64 body size, u64 FNV-1a-64 body checksum, body.  Writes go
@@ -18,8 +20,9 @@
 // kCheckpointVersion; readers reject versions outside
 // [kMinCheckpointVersion, kCheckpointVersion] with a typed error.  A
 // checkpoint additionally embeds a config digest (model + train config +
-// dataset size); resuming under ANY changed hyperparameter is refused
-// with a descriptive CheckpointError instead of silently diverging.
+// dataset size + whether the order varies by pass); resuming under ANY
+// changed hyperparameter is refused with a descriptive CheckpointError
+// instead of silently diverging.
 #pragma once
 
 #include <array>
@@ -34,8 +37,10 @@
 namespace rnx::core {
 
 inline constexpr char kCheckpointMagic[4] = {'R', 'N', 'X', 'C'};
-inline constexpr std::uint32_t kCheckpointVersion = 1;
-inline constexpr std::uint32_t kMinCheckpointVersion = 1;
+// v2 is the {epoch, samples_done} cursor layout; a v1 cursor cannot
+// place a resumed run, so v1 files are refused.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kMinCheckpointVersion = 2;
 
 /// Anything wrong with a checkpoint file or a resume attempt: missing /
 /// corrupt / truncated file, version or checksum mismatch, config or
@@ -47,15 +52,12 @@ class CheckpointError : public std::runtime_error {
 };
 
 struct TrainCheckpoint {
-  bool streaming = false;  ///< written by fit_stream (cursor semantics)
   std::uint64_t config_digest = 0;
 
-  // -- trajectory cursors ----------------------------------------------
-  std::uint64_t epoch = 0;           ///< epoch in progress (0-based)
-  std::uint64_t batch_in_epoch = 0;  ///< optimizer steps done this epoch
-  std::uint64_t samples_done = 0;    ///< stream position (fit_stream)
-  double lr = 0.0;                   ///< optimizer lr currently in effect
-  std::array<std::uint64_t, 4> shuffle_state{};  ///< at epoch START (fit)
+  // -- trajectory cursor -----------------------------------------------
+  std::uint64_t epoch = 0;         ///< epoch in progress (0-based)
+  std::uint64_t samples_done = 0;  ///< samples of that epoch's pass trained
+  double lr = 0.0;                 ///< optimizer lr currently in effect
 
   // -- in-epoch accumulators + early stopping --------------------------
   double loss_sum = 0.0;

@@ -5,7 +5,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
-#include <numeric>
+#include <optional>
 #include <span>
 #include <sstream>
 
@@ -15,7 +15,6 @@
 #include "data/source.hpp"
 #include "nn/ops.hpp"
 #include "util/log.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace rnx::core {
@@ -27,13 +26,10 @@ std::vector<nn::Var> trainable(const Model& model) {
   return out;
 }
 
-// Lane replicas + the per-batch optimizer step, shared verbatim by the
-// in-memory and streaming fit paths: both feed it the same kind of
-// sample-pointer batches, so for identical sample sequences the two
-// paths produce bit-identical weights (the streaming-equivalence test's
-// contract).  See the header comment for the determinism argument: per-
-// sample gradients land in per-sample slots and merge in sample order,
-// so results do not depend on which lane computed what.
+// Lane replicas + the per-batch optimizer step.  See the header comment
+// for the determinism argument: per-sample gradients land in per-sample
+// slots and merge in sample order, so results do not depend on which
+// lane computed what.
 class BatchEngine {
  public:
   BatchEngine(Model& model, const TrainConfig& cfg, nn::Adam& opt,
@@ -157,11 +153,12 @@ class BatchEngine {
 // ---- crash-safe checkpointing (DESIGN.md §R) ------------------------------
 
 // Everything the training trajectory depends on, folded into one digest.
-// Resuming under ANY changed hyperparameter or dataset size is refused.
-// Deliberately EXCLUDED: epochs (extending a finished run is legitimate)
-// and threads (the lane count never changes the weights — DESIGN.md §T).
+// Resuming under ANY changed hyperparameter, dataset size or kind of
+// sample order is refused.  Deliberately EXCLUDED: epochs (extending a
+// finished run is legitimate) and threads (the lane count never changes
+// the weights — DESIGN.md §T).
 std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
-                           bool streaming, std::uint64_t train_size) {
+                           const data::SampleSource& train) {
   std::ostringstream b(std::ios::binary);
   const auto put = [&b](const auto& v) {
     b.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -184,8 +181,8 @@ std::uint64_t train_digest(const Model& model, const TrainConfig& cfg,
   put(static_cast<std::uint8_t>(cfg.target));
   put(cfg.seed);
   put(static_cast<std::uint64_t>(cfg.patience));
-  put(static_cast<std::uint8_t>(streaming));
-  put(train_size);
+  put(static_cast<std::uint8_t>(train.order_varies_by_pass()));
+  put(static_cast<std::uint64_t>(train.size()));
   return data::io::fnv1a64(b.view());
 }
 
@@ -294,89 +291,83 @@ nn::Var Trainer::sample_loss(const Model& model, const data::Sample& sample,
 std::vector<EpochRecord> Trainer::fit(const data::Dataset& train,
                                       const data::Scaler& scaler,
                                       const data::Dataset* val) {
-  util::RngStream shuffle_rng(cfg_.seed);
-  std::vector<std::size_t> order(train.size());
-  std::iota(order.begin(), order.end(), 0);
+  data::DatasetSource train_src(train, cfg_.seed);
+  std::optional<data::DatasetSource> val_src;
+  if (val) val_src.emplace(*val);
+  return fit_stream(train_src, scaler, val_src ? &*val_src : nullptr);
+}
+
+std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
+                                             const data::Scaler& scaler,
+                                             data::SampleSource* val) {
   const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
 
-  // Plan memo: one build per (sample, variant) for the whole run.  Keyed
-  // by sample address — `train`/`val` outlive this call, which is the
-  // cache's validity requirement.
+  // Plan memo: one build per (sample, variant) for the whole run, keyed
+  // by sample address.  That is only sound when the source's samples
+  // stay put for the run; a streaming source recycles addresses, so the
+  // model runs cache-DETACHED there (a stale plan at a reused address
+  // would be silently wrong).
   PlanCache plan_cache;
+  PlanCache* const cache = train.stable_addresses() ? &plan_cache : nullptr;
   const PlanCacheScope cache_scope(model_);
-  if (cfg_.use_plan_cache) model_.set_plan_cache(&plan_cache);
+  model_.set_plan_cache(cache);
 
   std::vector<EpochRecord> history;
   double best_val = std::numeric_limits<double>::infinity();
   std::size_t since_best = 0;
+  // Keep-alive handles for the in-flight batch: residency is bounded by
+  // the batch size plus whatever the source prefetches.
+  std::vector<std::shared_ptr<const data::Sample>> hold;
   std::vector<const data::Sample*> batch_ptrs;
+  hold.reserve(batch);
   batch_ptrs.reserve(batch);
 
   interrupted_ = false;
   const bool ckpt_on = !cfg_.checkpoint_dir.empty();
   const std::string ckpt_path =
       ckpt_on ? checkpoint_file(cfg_.checkpoint_dir) : std::string();
-  const std::uint64_t digest =
-      train_digest(model_, cfg_, /*streaming=*/false, train.size());
+  const std::uint64_t digest = train_digest(model_, cfg_, train);
 
   std::size_t start_epoch = 0;
-  std::uint64_t resume_batches = 0;
+  std::uint64_t resume_samples = 0;
   double resume_loss_sum = 0.0;
   std::uint64_t resume_loss_count = 0;
   if (ckpt_on && cfg_.resume && std::filesystem::exists(ckpt_path)) {
     const TrainCheckpoint ck = load_checkpoint(ckpt_path);
-    if (ck.streaming)
-      throw CheckpointError("resume refused: " + ckpt_path +
-                            " was written by fit_stream, not fit");
     if (ck.config_digest != digest)
       throw CheckpointError(
           "resume refused: " + ckpt_path +
-          " was written under a different model/train config or dataset "
-          "size — delete the checkpoint to start over");
+          " was written under a different model/train config, dataset "
+          "size or sample order — delete the checkpoint to start over");
     verify_scaler(ck, scaler);
     restore_train_state(model_, opt_, ck);
-    // The checkpoint carries the shuffle stream as of the epoch's START;
-    // re-running Fisher-Yates from it reproduces the exact epoch order.
-    shuffle_rng = util::RngStream::from_state(ck.shuffle_state);
     start_epoch = static_cast<std::size_t>(ck.epoch);
-    // The permutation CHAINS across epochs: epoch e shuffles the array
-    // epoch e-1 produced, so the stream state alone is not enough —
-    // rebuild the array by replaying the earlier epochs' shuffles from
-    // the run seed (cheap: O(epochs * n); the digest check above pinned
-    // the seed, so the replay is the original run's prefix verbatim).
-    util::RngStream replay(cfg_.seed);
-    for (std::size_t e = 0; e < start_epoch && e < cfg_.epochs; ++e)
-      for (std::size_t i = order.size(); i > 1; --i)
-        std::swap(order[i - 1],
-                  order[static_cast<std::size_t>(replay.uniform_int(
-                      0, static_cast<std::int64_t>(i) - 1))]);
-    resume_batches = ck.batch_in_epoch;
+    resume_samples = ck.samples_done;
     resume_loss_sum = ck.loss_sum;
     resume_loss_count = ck.loss_count;
     best_val = ck.best_val;
     since_best = static_cast<std::size_t>(ck.since_best);
     if (cfg_.verbose)
       util::log_info(model_.name(), ": resumed from ", ckpt_path,
-                     " at epoch ", start_epoch, ", batch ", resume_batches);
+                     " at epoch ", start_epoch, ", sample ", resume_samples);
   }
 
   // Construct the engine AFTER any resume restore: lane replicas deep-copy
   // the model's weights at construction, so building it earlier would run
   // the first resumed batch with stale (initial) weights on lanes 1+.
-  BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr,
-                     cfg_.use_plan_cache ? &plan_cache : nullptr);
+  BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr, cache);
 
-  const auto snapshot = [&](std::uint64_t epoch, std::uint64_t batch_done,
-                            const std::array<std::uint64_t, 4>& rng_state,
-                            double loss_sum, std::uint64_t loss_count) {
+  // The cursor says how far into pass `epoch` training got; the in-epoch
+  // loss accumulators travel with it (zero at a pass start).
+  const auto snapshot = [&](std::uint64_t epoch, std::uint64_t samples_done) {
     TrainCheckpoint ck;
-    ck.streaming = false;
     ck.config_digest = digest;
     ck.epoch = epoch;
-    ck.batch_in_epoch = batch_done;
-    ck.shuffle_state = rng_state;
-    ck.loss_sum = loss_sum;
-    ck.loss_count = loss_count;
+    ck.samples_done = samples_done;
+    if (samples_done != 0) {
+      ck.loss_sum = engine.epoch_loss_sum();
+      ck.loss_count = engine.epoch_loss_count();
+    }
     ck.best_val = best_val;
     ck.since_best = since_best;
     capture_train_state(model_, opt_, scaler, ck);
@@ -385,41 +376,50 @@ std::vector<EpochRecord> Trainer::fit(const data::Dataset& train,
 
   for (std::size_t epoch = start_epoch; epoch < cfg_.epochs; ++epoch) {
     util::Stopwatch watch;
-    // Shuffle stream state at the epoch's start: what a mid-epoch
-    // checkpoint stores so resume can replay this epoch's exact order.
-    const std::array<std::uint64_t, 4> epoch_rng = shuffle_rng.state();
-    // Deterministic Fisher-Yates reshuffle each epoch.
-    for (std::size_t i = order.size(); i > 1; --i)
-      std::swap(order[i - 1],
-                order[static_cast<std::size_t>(shuffle_rng.uniform_int(
-                    0, static_cast<std::int64_t>(i) - 1))]);
-
+    train.reset(epoch);
     engine.begin_epoch();
-    std::uint64_t batches_done = 0;
-    if (epoch == start_epoch && resume_batches > 0) {
-      // Already-trained batches of the interrupted epoch: skip them and
-      // put back the loss accumulators they contributed.
-      batches_done = resume_batches;
+    std::uint64_t samples_done = 0;
+    if (epoch == start_epoch && resume_samples > 0) {
+      // The pass replays the interrupted run's order, so the cursor is
+      // just a count: pull and discard the prefix already trained on.
+      for (; samples_done < resume_samples; ++samples_done)
+        if (!train.next())
+          throw CheckpointError(
+              "resume refused: stream ended after " +
+              std::to_string(samples_done) + " samples, checkpoint cursor "
+              "is at " + std::to_string(resume_samples) +
+              " (did the training store change?)");
       engine.restore_epoch_loss(resume_loss_sum, resume_loss_count);
     }
-    for (std::size_t start = static_cast<std::size_t>(batches_done) * batch;
-         start < order.size(); start += batch) {
-      const std::size_t fill = std::min(batch, order.size() - start);
-      batch_ptrs.clear();
-      for (std::size_t i = 0; i < fill; ++i)
-        batch_ptrs.push_back(&train[order[start + i]]);
+    // A cursor sits on a step boundary (a full batch, or the pass's end
+    // after a trailing partial one), so it converts back to a step count.
+    std::uint64_t steps = (samples_done + batch - 1) / batch;
+    for (bool more = true; more;) {
+      while (batch_ptrs.size() < batch) {
+        auto sp = train.next();
+        if (!sp) {
+          more = false;
+          break;
+        }
+        batch_ptrs.push_back(sp.get());
+        hold.push_back(std::move(sp));
+      }
+      if (batch_ptrs.empty()) break;
       engine.process_batch(batch_ptrs, scaler);
-      ++batches_done;
+      samples_done += batch_ptrs.size();
+      batch_ptrs.clear();
+      hold.clear();
+      ++steps;
+      // One poll per optimizer step, the trailing partial one included.
       const bool stop = cfg_.stop_requested && cfg_.stop_requested();
       if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
-                               batches_done % cfg_.checkpoint_every == 0)))
-        snapshot(epoch, batches_done, epoch_rng, engine.epoch_loss_sum(),
-                 engine.epoch_loss_count());
+                               steps % cfg_.checkpoint_every == 0)))
+        snapshot(epoch, samples_done);
       if (stop) {
         interrupted_ = true;
         if (cfg_.verbose)
           util::log_info(model_.name(), ": stop requested at epoch ", epoch,
-                         ", batch ", batches_done,
+                         ", sample ", samples_done,
                          ckpt_on ? " (checkpoint written)" : "");
         return history;
       }
@@ -450,179 +450,11 @@ std::vector<EpochRecord> Trainer::fit(const data::Dataset& train,
         early_stop = true;
       }
     }
-    // End-of-epoch checkpoint: cursor at the NEXT epoch's start (post-
-    // decay lr, next epoch's shuffle state, zeroed accumulators).  Early
-    // stop and natural completion both park the cursor at cfg_.epochs,
-    // so resuming a finished run retrains nothing.
-    if (ckpt_on)
-      snapshot(early_stop ? cfg_.epochs : epoch + 1, 0, shuffle_rng.state(),
-               0.0, 0);
-    if (early_stop) break;
-  }
-  return history;
-}
-
-std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
-                                             const data::Scaler& scaler,
-                                             data::SampleSource* val) {
-  const std::size_t batch = std::max<std::size_t>(cfg_.batch_samples, 1);
-
-  // Address-keyed plan caching is only sound when the source's sample
-  // objects are stable for the whole run; a streaming source recycles
-  // addresses, so the model runs cache-DETACHED there (correctness over
-  // speed — a stale plan at a reused address would be silently wrong).
-  const bool cacheable = cfg_.use_plan_cache && train.stable_addresses();
-  PlanCache plan_cache;
-  const PlanCacheScope cache_scope(model_);
-  model_.set_plan_cache(cacheable ? &plan_cache : nullptr);
-
-  std::vector<EpochRecord> history;
-  double best_val = std::numeric_limits<double>::infinity();
-  std::size_t since_best = 0;
-  // Keep-alive handles for the in-flight batch: residency is bounded by
-  // the batch size plus whatever the source prefetches.
-  std::vector<std::shared_ptr<const data::Sample>> hold;
-  std::vector<const data::Sample*> batch_ptrs;
-  hold.reserve(batch);
-  batch_ptrs.reserve(batch);
-
-  interrupted_ = false;
-  const bool ckpt_on = !cfg_.checkpoint_dir.empty();
-  const std::string ckpt_path =
-      ckpt_on ? checkpoint_file(cfg_.checkpoint_dir) : std::string();
-  // A source has no size before its first pass; the stream identity is
-  // carried by the source itself (the sharded store's own digest guards
-  // dataset/config drift at that layer).
-  const std::uint64_t digest =
-      train_digest(model_, cfg_, /*streaming=*/true, 0);
-
-  std::size_t start_epoch = 0;
-  std::uint64_t resume_samples = 0;
-  double resume_loss_sum = 0.0;
-  std::uint64_t resume_loss_count = 0;
-  if (ckpt_on && cfg_.resume && std::filesystem::exists(ckpt_path)) {
-    const TrainCheckpoint ck = load_checkpoint(ckpt_path);
-    if (!ck.streaming)
-      throw CheckpointError("resume refused: " + ckpt_path +
-                            " was written by fit, not fit_stream");
-    if (ck.config_digest != digest)
-      throw CheckpointError(
-          "resume refused: " + ckpt_path +
-          " was written under a different model/train config — delete the "
-          "checkpoint to start over");
-    verify_scaler(ck, scaler);
-    restore_train_state(model_, opt_, ck);
-    start_epoch = static_cast<std::size_t>(ck.epoch);
-    resume_samples = ck.samples_done;
-    resume_loss_sum = ck.loss_sum;
-    resume_loss_count = ck.loss_count;
-    best_val = ck.best_val;
-    since_best = static_cast<std::size_t>(ck.since_best);
-    if (cfg_.verbose)
-      util::log_info(model_.name(), ": resumed from ", ckpt_path,
-                     " at epoch ", start_epoch, ", sample ", resume_samples);
-  }
-
-  // After the resume restore, for the same reason as in fit(): lane
-  // replicas snapshot the weights when the engine is built.
-  BatchEngine engine(model_, cfg_, opt_, pool_ ? &*pool_ : nullptr,
-                     cacheable ? &plan_cache : nullptr);
-
-  const auto snapshot = [&](std::uint64_t epoch, std::uint64_t samples_done,
-                            std::uint64_t batch_done, double loss_sum,
-                            std::uint64_t loss_count) {
-    TrainCheckpoint ck;
-    ck.streaming = true;
-    ck.config_digest = digest;
-    ck.epoch = epoch;
-    ck.batch_in_epoch = batch_done;
-    ck.samples_done = samples_done;
-    ck.loss_sum = loss_sum;
-    ck.loss_count = loss_count;
-    ck.best_val = best_val;
-    ck.since_best = since_best;
-    capture_train_state(model_, opt_, scaler, ck);
-    save_checkpoint(ckpt_path, ck);
-  };
-
-  for (std::size_t epoch = start_epoch; epoch < cfg_.epochs; ++epoch) {
-    util::Stopwatch watch;
-    train.reset();
-    engine.begin_epoch();
-    std::uint64_t samples_done = 0;
-    std::uint64_t batches_done = 0;
-    if (epoch == start_epoch && resume_samples > 0) {
-      // The source replays the same deterministic order every pass, so
-      // the cursor is just a count: pull and discard the prefix the
-      // interrupted run already trained on.
-      while (samples_done < resume_samples) {
-        auto sp = train.next();
-        if (!sp)
-          throw CheckpointError(
-              "resume refused: stream ended after " +
-              std::to_string(samples_done) + " samples, checkpoint cursor "
-              "is at " + std::to_string(resume_samples) +
-              " (did the training store change?)");
-        ++samples_done;
-      }
-      batches_done = samples_done / batch;  // cursor sits on a boundary
-      engine.restore_epoch_loss(resume_loss_sum, resume_loss_count);
-    }
-    while (auto sp = train.next()) {
-      batch_ptrs.push_back(sp.get());
-      hold.push_back(std::move(sp));
-      ++samples_done;
-      if (batch_ptrs.size() == batch) {
-        engine.process_batch(batch_ptrs, scaler);
-        batch_ptrs.clear();
-        hold.clear();
-        ++batches_done;
-        const bool stop = cfg_.stop_requested && cfg_.stop_requested();
-        if (ckpt_on && (stop || (cfg_.checkpoint_every != 0 &&
-                                 batches_done % cfg_.checkpoint_every == 0)))
-          snapshot(epoch, samples_done, batches_done,
-                   engine.epoch_loss_sum(), engine.epoch_loss_count());
-        if (stop) {
-          interrupted_ = true;
-          if (cfg_.verbose)
-            util::log_info(model_.name(), ": stop requested at epoch ",
-                           epoch, ", sample ", samples_done,
-                           ckpt_on ? " (checkpoint written)" : "");
-          return history;
-        }
-      }
-    }
-    engine.process_batch(batch_ptrs, scaler);
-    batch_ptrs.clear();
-    hold.clear();
-    opt_.set_lr(opt_.lr() * cfg_.lr_decay);
-
-    EpochRecord rec;
-    rec.epoch = epoch;
-    rec.train_loss = engine.epoch_mean_loss();
-    rec.val_loss = val ? evaluate_loss(*val, scaler)
-                       : std::numeric_limits<double>::quiet_NaN();
-    rec.seconds = watch.seconds();
-    history.push_back(rec);
-    if (cfg_.verbose)
-      util::log_info(model_.name(), " epoch ", epoch, ": train_loss=",
-                     rec.train_loss, val ? " val_loss=" : "",
-                     val ? std::to_string(rec.val_loss) : std::string(),
-                     " (", rec.seconds, "s, streaming)");
-
-    bool early_stop = false;
-    if (val && cfg_.patience > 0) {
-      if (rec.val_loss < best_val - 1e-9) {
-        best_val = rec.val_loss;
-        since_best = 0;
-      } else if (++since_best >= cfg_.patience) {
-        if (cfg_.verbose)
-          util::log_info(model_.name(), ": early stop at epoch ", epoch);
-        early_stop = true;
-      }
-    }
-    if (ckpt_on)
-      snapshot(early_stop ? cfg_.epochs : epoch + 1, 0, 0, 0.0, 0);
+    // End-of-epoch checkpoint: cursor at the NEXT pass's start (post-
+    // decay lr, zeroed accumulators).  Early stop and natural completion
+    // both park the cursor at cfg_.epochs, so resuming a finished run
+    // retrains nothing.
+    if (ckpt_on) snapshot(early_stop ? cfg_.epochs : epoch + 1, 0);
     if (early_stop) break;
   }
   return history;
@@ -630,42 +462,22 @@ std::vector<EpochRecord> Trainer::fit_stream(data::SampleSource& train,
 
 double Trainer::evaluate_loss(const data::Dataset& ds,
                               const data::Scaler& scaler) const {
-  // Inference is read-only on the weights, so the lanes can share the
-  // primary model.  Per-sample losses land in slots and are summed in
-  // sample order — same result for any lane count.
-  std::vector<double> losses(ds.size(), 0.0);
-  std::vector<char> defined(ds.size(), 0);
-  const auto eval_one = [&](std::size_t i) {
-    const nn::NoGradGuard guard;
-    const nn::Var loss =
-        sample_loss(model_, ds[i], scaler, cfg_.min_delivered, cfg_.target);
-    if (!loss.defined()) return;
-    losses[i] = loss.value().item();
-    defined[i] = 1;
-  };
-  if (pool_ && ds.size() > 1) {
-    pool_->parallel_for(ds.size(), eval_one);
-  } else {
-    for (std::size_t i = 0; i < ds.size(); ++i) eval_one(i);
-  }
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    if (!defined[i]) continue;
-    sum += losses[i];
-    ++count;
-  }
-  return count ? sum / static_cast<double>(count)
-               : std::numeric_limits<double>::quiet_NaN();
+  data::DatasetSource src(ds);
+  return evaluate_loss(src, scaler);
 }
 
 double Trainer::evaluate_loss(data::SampleSource& src,
                               const data::Scaler& scaler) const {
-  // Streaming sources hand out transient samples: run cache-detached so
-  // no address-keyed plan entry can outlive its sample (see fit_stream).
+  // Transient samples run cache-detached so no address-keyed plan entry
+  // can outlive its sample (see fit_stream).
   const PlanCacheScope cache_scope(model_);
   if (!src.stable_addresses()) model_.set_plan_cache(nullptr);
 
+  // Inference is read-only on the weights, so the lanes share the
+  // primary model.  A window of samples is evaluated at a time, so
+  // residency stays bounded; per-sample losses land in slots and are
+  // summed in sample order — the same result for any lane count and
+  // any window.
   src.reset();
   const std::size_t lanes = pool_ ? pool_->size() : 1;
   const std::size_t window = std::max<std::size_t>(4 * lanes, 8);
@@ -693,7 +505,6 @@ double Trainer::evaluate_loss(data::SampleSource& src,
     } else {
       for (std::size_t i = 0; i < n; ++i) eval_one(i);
     }
-    // Sample-order sum: windowing changes residency, never the result.
     for (std::size_t i = 0; i < n; ++i) {
       if (!defined[i]) continue;
       sum += losses[i];

@@ -14,6 +14,12 @@
 // computed from identical weights and the merge order is fixed, the
 // trained weights are bitwise-identical for ANY thread count, including
 // the serial path.
+//
+// There is one epoch loop, fit_stream, over a data::SampleSource; fit
+// wraps an in-memory Dataset in a DatasetSource that reshuffles every
+// pass.  Pass k's order is a pure function of the source and k, so a
+// checkpoint's {epoch, samples_done} cursor is the whole resume position
+// (DESIGN.md §R).
 #pragma once
 
 #include <cstdint>
@@ -42,11 +48,10 @@ struct TrainConfig {
   double clip_norm = 10.0;         ///< global gradient-norm ceiling
   std::uint64_t min_delivered = 10;  ///< label-quality threshold
   PredictionTarget target = PredictionTarget::kDelay;
-  std::uint64_t seed = 7;          ///< shuffling stream
+  std::uint64_t seed = 7;          ///< fit's per-pass shuffle
   std::size_t patience = 0;        ///< early stop after this many epochs
                                    ///< without val improvement (0 = off)
   std::size_t threads = 1;         ///< data-parallel lanes (0 or 1 = serial)
-  bool use_plan_cache = true;      ///< memoize build_plan across epochs
   bool verbose = true;
 
   // -- crash-safe checkpointing (DESIGN.md §R) ------------------------
@@ -59,10 +64,11 @@ struct TrainConfig {
   /// (CheckpointError otherwise); the resumed trajectory is then
   /// bitwise-identical to the uninterrupted one.
   bool resume = false;
-  /// Polled after every optimizer step; returning true finalizes one
-  /// last checkpoint (if enabled) and exits fit cleanly with
-  /// Trainer::interrupted() set — how SIGINT/SIGTERM stop training
-  /// without losing the batch in flight.
+  /// Polled exactly once after every optimizer step, a trailing partial
+  /// batch included; returning true finalizes one last checkpoint (if
+  /// enabled) and exits fit cleanly with Trainer::interrupted() set —
+  /// how SIGINT/SIGTERM stop training without losing the batch in
+  /// flight.
   std::function<bool()> stop_requested;
 };
 
@@ -77,34 +83,35 @@ class Trainer {
  public:
   Trainer(Model& model, TrainConfig cfg);
 
-  /// Train on `train`; optionally track loss on `val` each epoch.
-  /// Returns the per-epoch history.
+  /// Train on `train`, reshuffled every epoch from TrainConfig::seed;
+  /// optionally track loss on `val` each epoch.  Returns the per-epoch
+  /// history.  Equivalent to fit_stream over a shuffling DatasetSource.
   std::vector<EpochRecord> fit(const data::Dataset& train,
                                const data::Scaler& scaler,
                                const data::Dataset* val = nullptr);
 
-  /// Streaming fit (DESIGN.md §D): consume `train` pass-by-pass from a
-  /// SampleSource — e.g. a sharded on-disk store larger than RAM — with
-  /// peak sample residency bounded by the batch size plus the source's
-  /// prefetch window.  Sample ORDER is the source's (the source owns
-  /// shuffling); given the same sample sequence, updates are
-  /// bitwise-identical to the in-memory path for any thread count.
-  /// Address-keyed plan caching engages only when the source guarantees
-  /// stable sample addresses; for transient streaming samples the model
-  /// runs cache-detached (caching a recycled address would serve a
-  /// stale plan).
+  /// The training loop (DESIGN.md §D): consume `train` pass-by-pass —
+  /// epoch e calls train.reset(e) — from any SampleSource, e.g. a
+  /// sharded on-disk store larger than RAM, with peak sample residency
+  /// bounded by the batch size plus the source's prefetch window.
+  /// Sample ORDER is the source's (the source owns shuffling); given the
+  /// same sample sequence, updates are bitwise-identical for any source
+  /// and any thread count.  The run's address-keyed plan cache engages
+  /// only when the source guarantees stable sample addresses; for
+  /// transient streaming samples the model runs cache-detached (caching
+  /// a recycled address would serve a stale plan).
   std::vector<EpochRecord> fit_stream(data::SampleSource& train,
                                       const data::Scaler& scaler,
                                       data::SampleSource* val = nullptr);
 
-  /// Mean per-sample loss without building the tape (inference mode);
-  /// parallel over the trainer's lanes.
+  /// evaluate_loss over the dataset in index order.
   [[nodiscard]] double evaluate_loss(const data::Dataset& ds,
                                      const data::Scaler& scaler) const;
 
-  /// Streaming evaluation over one pass of `src`, windowed so residency
-  /// stays bounded; losses are summed in sample order, so the result is
-  /// bitwise-equal to the in-memory overload on the same samples.
+  /// Mean per-sample loss over one pass of `src` without building the
+  /// tape (inference mode), parallel over the trainer's lanes and
+  /// windowed so residency stays bounded; losses are summed in sample
+  /// order, so the result depends only on the sample sequence.
   [[nodiscard]] double evaluate_loss(data::SampleSource& src,
                                      const data::Scaler& scaler) const;
 

@@ -1,10 +1,31 @@
 #include "data/source.hpp"
 
+#include <numeric>
 #include <utility>
 
 #include "util/fault.hpp"
 
 namespace rnx::data {
+
+DatasetSource::DatasetSource(const Dataset& ds, std::uint64_t shuffle_seed)
+    : ds_(&ds), seed_(shuffle_seed), order_(ds.size()), rng_(shuffle_seed) {
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+}
+
+void DatasetSource::reset(std::size_t pass) {
+  pos_ = 0;
+  if (!seed_) return;
+  if (shuffles_ > pass + 1) {  // an earlier pass: replay from the seed
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    rng_ = util::RngStream(*seed_);
+    shuffles_ = 0;
+  }
+  for (; shuffles_ <= pass; ++shuffles_)
+    for (std::size_t i = order_.size(); i > 1; --i)
+      std::swap(order_[i - 1],
+                order_[static_cast<std::size_t>(rng_.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+}
 
 StreamingShardSource::StreamingShardSource(std::string manifest_path,
                                            std::size_t prefetch)
@@ -31,7 +52,7 @@ void StreamingShardSource::start() {
   producer_ = std::thread([this] { produce(); });
 }
 
-void StreamingShardSource::reset() {
+void StreamingShardSource::reset(std::size_t /*pass*/) {
   stop();
   start();
 }

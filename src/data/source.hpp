@@ -2,8 +2,9 @@
 //
 // SampleSource is the unit training/eval consume: a resettable,
 // fixed-size pass over samples.  The in-memory Dataset adapts trivially
-// (DatasetSource); StreamingShardSource pulls a sharded on-disk store
-// (data/shards.hpp) through a background prefetch thread and a
+// (DatasetSource, optionally reshuffled every pass — the order
+// Trainer::fit trains in); StreamingShardSource pulls a sharded on-disk
+// store (data/shards.hpp) through a background prefetch thread and a
 // util::BoundedQueue, so the consumer's peak residency is bounded by
 // one shard plus the prefetch depth — datasets larger than RAM train
 // fine.
@@ -30,11 +31,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "data/shards.hpp"
 #include "util/bounded_queue.hpp"
+#include "util/rng.hpp"
 
 namespace rnx::data {
 
@@ -46,9 +50,13 @@ class SampleSource {
   /// records the total).
   [[nodiscard]] virtual std::size_t size() const = 0;
 
-  /// Begin a new pass.  Must be called before the first next() of every
-  /// pass, including the first.
-  virtual void reset() = 0;
+  /// Begin pass `pass` (the trainer passes its epoch index).  Must be
+  /// called before the first next() of every pass, including the first.
+  /// The pass's order is a pure function of the source and `pass`: a
+  /// source whose order varies by pass recomputes it from the index,
+  /// every other source ignores it.  So a resumed run replays any pass
+  /// without carrying iteration state.
+  virtual void reset(std::size_t pass = 0) = 0;
 
   /// The next sample of the pass, nullptr once exhausted.  Rethrows a
   /// background I/O error (corrupt shard, missing file) at the point of
@@ -62,29 +70,53 @@ class SampleSource {
   [[nodiscard]] virtual bool stable_addresses() const noexcept {
     return false;
   }
+
+  /// True when the sample order differs between passes (a reshuffling
+  /// source).  Part of a training run's identity: a checkpoint written
+  /// over one kind of order cannot resume over the other.
+  [[nodiscard]] virtual bool order_varies_by_pass() const noexcept {
+    return false;
+  }
 };
 
-/// In-memory adapter: one pass = the dataset in index order, zero-copy.
+/// In-memory adapter, zero-copy.  Unshuffled, every pass visits the
+/// dataset in index order.  Shuffled, pass k visits the index array
+/// after k+1 chained Fisher-Yates shuffles drawn from one
+/// util::RngStream(seed): pass k shuffles pass k-1's array.
 class DatasetSource final : public SampleSource {
  public:
   /// `ds` must outlive the source.
   explicit DatasetSource(const Dataset& ds) : ds_(&ds) {}
+  /// Reshuffle every pass from `shuffle_seed`.
+  DatasetSource(const Dataset& ds, std::uint64_t shuffle_seed);
 
   [[nodiscard]] std::size_t size() const override { return ds_->size(); }
-  void reset() override { pos_ = 0; }
+  void reset(std::size_t pass = 0) override;
   [[nodiscard]] std::shared_ptr<const Sample> next() override {
     if (pos_ >= ds_->size()) return nullptr;
+    const std::size_t i = order_.empty() ? pos_ : order_[pos_];
+    ++pos_;
     // Non-owning alias into the dataset's storage (empty control block).
     return std::shared_ptr<const Sample>(std::shared_ptr<void>(),
-                                         &(*ds_)[pos_++]);
+                                         &(*ds_)[i]);
   }
   [[nodiscard]] bool stable_addresses() const noexcept override {
     return true;
+  }
+  [[nodiscard]] bool order_varies_by_pass() const noexcept override {
+    return seed_.has_value();
   }
 
  private:
   const Dataset* ds_;
   std::size_t pos_ = 0;
+  // Shuffled sources only: the index array after `shuffles_` links of
+  // the chain drawn from `rng_`.  reset() extends the chain to the
+  // asked pass, replaying it from the seed for an earlier one.
+  std::optional<std::uint64_t> seed_;
+  std::vector<std::size_t> order_;
+  util::RngStream rng_{0};
+  std::size_t shuffles_ = 0;
 };
 
 /// Streaming pull over a sharded store: a background producer loads
@@ -102,7 +134,8 @@ class StreamingShardSource final : public SampleSource {
   [[nodiscard]] std::size_t size() const override {
     return static_cast<std::size_t>(reader_.total_samples());
   }
-  void reset() override;
+  /// Every pass streams the store in shard order; `pass` is ignored.
+  void reset(std::size_t pass = 0) override;
   [[nodiscard]] std::shared_ptr<const Sample> next() override;
 
   [[nodiscard]] const ShardedReader& reader() const noexcept {

@@ -94,15 +94,4 @@ double RngStream::pareto(double alpha, double xm) noexcept {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::array<std::uint64_t, 4> RngStream::state() const noexcept {
-  return {s_[0], s_[1], s_[2], s_[3]};
-}
-
-RngStream RngStream::from_state(
-    const std::array<std::uint64_t, 4>& s) noexcept {
-  RngStream out;
-  for (std::size_t i = 0; i < 4; ++i) out.s_[i] = s[i];
-  return out;
-}
-
 }  // namespace rnx::util

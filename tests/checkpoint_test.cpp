@@ -20,6 +20,7 @@
 #include "core/routenet_ext.hpp"
 #include "core/trainer.hpp"
 #include "data/generator.hpp"
+#include "data/shards.hpp"
 #include "data/source.hpp"
 #include "topo/zoo.hpp"
 #include "util/log.hpp"
@@ -107,6 +108,20 @@ class CheckpointTest : public ::testing::Test {
     return model;
   }
 
+  /// A sharded store of the first `n` samples of the fixture's protocol
+  /// (3 per shard) — for sizes that are not a multiple of kBatch.
+  [[nodiscard]] std::string write_store(std::size_t n) const {
+    data::GeneratorConfig cfg;
+    cfg.target_packets = 5'000;
+    const std::string path =
+        (dir_ / ("store" + std::to_string(n) + ".rnxm")).string();
+    data::ShardWriter writer(path, 3, 97, data::config_digest(cfg));
+    for (const auto& s : data::generate_dataset(topo::ring(4), n, cfg, 97))
+      writer.add(s);
+    (void)writer.finish();
+    return path;
+  }
+
   /// stop_requested hook that fires exactly at the k-th poll (polls
   /// happen once per optimizer step).
   [[nodiscard]] static std::function<bool()> stop_after(
@@ -123,13 +138,10 @@ class CheckpointTest : public ::testing::Test {
 
 TEST_F(CheckpointTest, RoundTripIsBitwise) {
   TrainCheckpoint ck;
-  ck.streaming = true;
   ck.config_digest = 0xDEADBEEFCAFEF00Dull;
   ck.epoch = 3;
-  ck.batch_in_epoch = 7;
   ck.samples_done = 41;
   ck.lr = 1.25e-3;
-  ck.shuffle_state = {1u, 2u, 3u, 0xFFFFFFFFFFFFFFFFull};
   ck.loss_sum = -0.125;
   ck.loss_count = 11;
   ck.best_val = 0.75;
@@ -157,13 +169,10 @@ TEST_F(CheckpointTest, RoundTripIsBitwise) {
   EXPECT_FALSE(fs::exists(path + ".tmp"));
   const TrainCheckpoint got = core::load_checkpoint(path);
 
-  EXPECT_EQ(got.streaming, ck.streaming);
   EXPECT_EQ(got.config_digest, ck.config_digest);
   EXPECT_EQ(got.epoch, ck.epoch);
-  EXPECT_EQ(got.batch_in_epoch, ck.batch_in_epoch);
   EXPECT_EQ(got.samples_done, ck.samples_done);
   EXPECT_EQ(got.lr, ck.lr);
-  EXPECT_EQ(got.shuffle_state, ck.shuffle_state);
   EXPECT_EQ(got.loss_sum, ck.loss_sum);
   EXPECT_EQ(got.loss_count, ck.loss_count);
   EXPECT_EQ(got.best_val, ck.best_val);
@@ -354,7 +363,7 @@ TEST_F(CheckpointTest, EpochOnlyCheckpointStillFinalizesOnStop) {
   }
   const TrainCheckpoint ck = core::load_checkpoint(ckpt_path());
   EXPECT_EQ(ck.epoch, 0u);
-  EXPECT_EQ(ck.batch_in_epoch, 2u);
+  EXPECT_EQ(ck.samples_done, 2 * kBatch);
 
   auto resumed = fresh_model();
   {
@@ -387,7 +396,136 @@ TEST_F(CheckpointTest, ResumingAFinishedRunRetrainsNothing) {
   expect_identical_weights(*model, *again, "finished-run resume");
 }
 
+// ---- trailing partial batch -----------------------------------------------
+
+// 7 samples in batches of 2: three full steps and one partial step per
+// epoch.  The partial batch is an optimizer step like any other, so it
+// is polled, and a stop there checkpoints and resumes bitwise.
+constexpr std::size_t kOddSamples = 7;
+constexpr std::size_t kOddEpochs = 2;
+
+TEST_F(CheckpointTest, PartialBatchIsPolledInFitAndFitStream) {
+  const std::string store = write_store(kOddSamples);
+  data::GeneratorConfig cfg;
+  cfg.target_packets = 5'000;
+  const data::Dataset odd(
+      data::generate_dataset(topo::ring(4), kOddSamples, cfg, 97));
+  core::TrainConfig tc = base_config();
+  tc.epochs = kOddEpochs;
+  auto polled = std::make_shared<std::size_t>(0);
+  tc.stop_requested = [polled] {
+    ++*polled;
+    return false;
+  };
+  {
+    auto model = fresh_model();
+    core::Trainer trainer(*model, tc);
+    (void)trainer.fit(odd, *scaler_);
+  }
+  EXPECT_EQ(*polled, 8u) << "fit";
+  *polled = 0;
+  {
+    auto model = fresh_model();
+    core::Trainer trainer(*model, tc);
+    data::StreamingShardSource src(store, /*prefetch=*/2);
+    (void)trainer.fit_stream(src, *scaler_);
+  }
+  EXPECT_EQ(*polled, 8u) << "fit_stream";
+}
+
+TEST_F(CheckpointTest, StreamResumeAtThePartialBatchIsBitwise) {
+  const std::string store = write_store(kOddSamples);
+  core::TrainConfig tc = base_config();
+  tc.epochs = kOddEpochs;
+  const auto reference = fresh_model();
+  {
+    core::Trainer trainer(*reference, tc);
+    data::StreamingShardSource src(store, 2);
+    (void)trainer.fit_stream(src, *scaler_);
+  }
+  // Polls 4 and 8 follow the two epochs' partial batches.
+  for (const std::size_t k : {std::size_t{4}, std::size_t{8}}) {
+    fs::remove(ckpt_path());
+    {
+      auto interrupted = fresh_model();
+      core::TrainConfig ic = tc;
+      ic.checkpoint_dir = ckpt_dir();
+      auto polled = std::make_shared<std::size_t>(0);
+      ic.stop_requested = stop_after(k, polled);
+      core::Trainer trainer(*interrupted, ic);
+      data::StreamingShardSource src(store, 2);
+      (void)trainer.fit_stream(src, *scaler_);
+      ASSERT_TRUE(trainer.interrupted()) << "k=" << k;
+      const TrainCheckpoint ck = core::load_checkpoint(ckpt_path());
+      EXPECT_EQ(ck.epoch, k / 4 - 1) << "k=" << k;
+      EXPECT_EQ(ck.samples_done, kOddSamples) << "k=" << k;
+    }
+    auto resumed = fresh_model();
+    {
+      core::TrainConfig rc = tc;
+      rc.checkpoint_dir = ckpt_dir();
+      rc.resume = true;
+      core::Trainer trainer(*resumed, rc);
+      data::StreamingShardSource src(store, 2);
+      (void)trainer.fit_stream(src, *scaler_);
+      EXPECT_FALSE(trainer.interrupted());
+    }
+    expect_identical_weights(
+        *reference, *resumed,
+        "stream killed at partial step " + std::to_string(k));
+  }
+}
+
 // ---- refusal paths --------------------------------------------------------
+
+TEST_F(CheckpointTest, VersionOneCheckpointIsRefused) {
+  TrainCheckpoint ck;
+  TrainCheckpoint::ParamState st;
+  st.name = "w";
+  st.value = nn::Tensor(1, 1);
+  st.m = nn::Tensor(1, 1);
+  st.v = nn::Tensor(1, 1);
+  ck.params.push_back(std::move(st));
+  core::save_checkpoint(ckpt_path(), ck);
+  std::string bytes;
+  {
+    std::ifstream f(ckpt_path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  const std::uint32_t v1 = 1;
+  bytes.replace(4, sizeof(v1), reinterpret_cast<const char*>(&v1),
+                sizeof(v1));
+  {
+    std::ofstream f(ckpt_path(), std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_THROW((void)core::load_checkpoint(ckpt_path()),
+               core::CheckpointError);
+}
+
+TEST_F(CheckpointTest, StreamResumeRefusesADifferentSizeStore) {
+  const std::string small = write_store(kOddSamples);
+  const std::string large = write_store(11);
+  {
+    auto model = fresh_model();
+    core::TrainConfig tc = base_config();
+    tc.checkpoint_dir = ckpt_dir();
+    auto polled = std::make_shared<std::size_t>(0);
+    tc.stop_requested = stop_after(1, polled);
+    core::Trainer trainer(*model, tc);
+    data::StreamingShardSource src(small, 2);
+    (void)trainer.fit_stream(src, *scaler_);
+    ASSERT_TRUE(trainer.interrupted());
+  }
+  // Same config and scaler; only the stream's size differs.
+  auto other = fresh_model();
+  core::TrainConfig tc = base_config();
+  tc.checkpoint_dir = ckpt_dir();
+  tc.resume = true;
+  core::Trainer trainer(*other, tc);
+  data::StreamingShardSource src(large, 2);
+  EXPECT_THROW((void)trainer.fit_stream(src, *scaler_), core::CheckpointError);
+}
 
 TEST_F(CheckpointTest, ResumeRefusesChangedHyperparameters) {
   auto model = fresh_model();

@@ -335,6 +335,41 @@ TEST(DatasetSource, AliasesInMemorySamples) {
   EXPECT_EQ(src.next(), nullptr);
 }
 
+TEST(DatasetSource, ShuffledPassOrderIsAPureFunctionOfSeedAndPass) {
+  const Dataset ds(
+      data::generate_dataset(topo::ring(4), 6, fast_config(), 37));
+  const auto pass_order = [&ds](data::DatasetSource& src, std::size_t pass) {
+    src.reset(pass);
+    std::vector<std::size_t> order;
+    while (const auto sp = src.next())
+      order.push_back(static_cast<std::size_t>(sp.get() - &ds[0]));
+    return order;
+  };
+  data::DatasetSource walked(ds, /*shuffle_seed=*/11);
+  EXPECT_TRUE(walked.stable_addresses());
+  EXPECT_TRUE(walked.order_varies_by_pass());
+  EXPECT_FALSE(data::DatasetSource(ds).order_varies_by_pass());
+  std::vector<std::vector<std::size_t>> orders;
+  for (std::size_t pass = 0; pass < 4; ++pass)
+    orders.push_back(pass_order(walked, pass));
+  for (const auto& order : orders) {
+    std::vector<std::size_t> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::size_t> all(ds.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    EXPECT_EQ(sorted, all);  // every pass is a permutation
+  }
+  EXPECT_NE(orders[0], orders[1]);
+  // A fresh source jumping straight to a pass, a repeated pass and a
+  // pass revisited after later ones all give the same order.
+  data::DatasetSource jumped(ds, 11);
+  EXPECT_EQ(pass_order(jumped, 2), orders[2]);
+  EXPECT_EQ(pass_order(jumped, 2), orders[2]);
+  EXPECT_EQ(pass_order(walked, 1), orders[1]);
+  EXPECT_EQ(pass_order(walked, 3), orders[3]);
+  EXPECT_EQ(pass_order(walked, 0), orders[0]);
+}
+
 // ---- mixed topology sampler -------------------------------------------------
 
 TEST(MixedTopology, SpansFamiliesAndStaysValid) {
